@@ -1,6 +1,8 @@
 package knnjoin
 
 import (
+	"fmt"
+	"os"
 	"testing"
 
 	"knnjoin/internal/dataset"
@@ -49,6 +51,39 @@ func TestAutoPlanRanksAndExplains(t *testing.T) {
 	}
 	if _, err := AutoPlan(objs, objs, Options{K: 0}); err == nil {
 		t.Error("AutoPlan accepted K=0")
+	}
+}
+
+// TestAutoPlanGolden pins the full ranked plan list — every score,
+// prediction and Why string — against the output of the reference
+// planner (the direct O(m³) greedy grouping and per-partition visit-order
+// sorts), so the planner's speed-ups must leave each plan byte-identical.
+// The cases are a uniform d=2 R×S pair whose grid reaches p=564 and a
+// clustered d=8 self-join.
+func TestAutoPlanGolden(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		r, s   []Object
+		opts   Options
+	}{
+		{"autoplan_unif2_20k", dataset.Uniform(20000, 2, 100, 1), dataset.Uniform(20000, 2, 100, 2), Options{K: 10, Nodes: 8, Seed: 1}},
+		{"autoplan_gauss8_self", dataset.Gaussian(6000, 8, 8, 0, 100, 3), nil, Options{K: 5, Nodes: 4, Seed: 7}},
+	} {
+		s := c.s
+		if s == nil {
+			s = c.r
+		}
+		plans, err := AutoPlan(c.r, s, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile("testdata/" + c.golden + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%+v", plans); got != string(want) {
+			t.Errorf("%s: plans differ from the golden\ngot:  %s\nwant: %s", c.golden, got, want)
+		}
 	}
 }
 

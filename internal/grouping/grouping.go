@@ -152,6 +152,14 @@ func Geometric(pp *voronoi.Partitioner, sum *voronoi.Summary, n int) (*Result, e
 // the approximated replica set RP(S, G_i) of Equation 12 — whole
 // S-partitions count as replicated as soon as their group lower bound
 // LB(P_j^S, G_i) falls to or below U(P_j^S).
+//
+// LB(P_j^S, G_i) is the minimum of Corollary 2's per-partition bound over
+// the group's members, so P_j^S is replicated to G_i exactly when some
+// member alone reaches it. Each R-partition's list of S-partitions it
+// reaches is computed once, and the increase ΔRP of every (group,
+// candidate) pair is kept as an integer count that drops by |P_j^S| when
+// P_j^S becomes replicated to the group. Every (group, S-partition) pair
+// flips at most once, so growth costs O(N·m²).
 func Greedy(pp *voronoi.Partitioner, sum *voronoi.Summary, n int, thetas []float64) (*Result, error) {
 	if err := validate(pp, n); err != nil {
 		return nil, err
@@ -164,46 +172,54 @@ func Greedy(pp *voronoi.Partitioner, sum *voronoi.Summary, n int, thetas []float
 	for i := range res.GroupOf {
 		res.GroupOf[i] = -1
 	}
-	remaining := make(map[int]bool, m)
+
+	// hits[i] lists the non-empty S-partitions l with lb(P_l^S, P_i^R)
+	// ≤ U(P_l^S) per Corollary 2, hitBy[l] the converse; a partition
+	// holding no R objects reaches nothing (its bound is +Inf).
+	hits := make([][]int, m)
+	hitBy := make([][]int, m)
 	for i := 0; i < m; i++ {
-		remaining[i] = true
-	}
-
-	// lb(P_l^S, P_i^R) per Corollary 2; +Inf when partition i holds no R
-	// objects (U = −Inf would otherwise poison the arithmetic).
-	lb := func(l, i int) float64 {
 		if sum.R[i].Count == 0 {
-			return math.Inf(1)
+			continue
 		}
-		return voronoi.LBReplica(pp.PivotDist(i, l), sum.R[i].U, thetas[i])
+		for l := 0; l < m; l++ {
+			if sum.S[l].Count > 0 && voronoi.LBReplica(pp.PivotDist(i, l), sum.R[i].U, thetas[i]) <= sum.S[l].U {
+				hits[i] = append(hits[i], l)
+				hitBy[l] = append(hitBy[l], i)
+			}
+		}
 	}
 
-	// Per-group state: current LB(P_l^S, G) per S-partition l, current
-	// approximate replica count, and current object count for balancing.
-	groupLB := make([][]float64, n)
-	sizes := make([]int, n)
-	for g := range groupLB {
-		groupLB[g] = make([]float64, m)
-		for l := range groupLB[g] {
-			groupLB[g][l] = math.Inf(1)
+	// Per-group state: which S-partitions are replicated, ΔRP(S, G_g) of
+	// adding each candidate, and the object count for balancing.
+	replicated := make([][]bool, n)
+	delta := make([][]int64, n)
+	fullDelta := make([]int64, m)
+	for i, ls := range hits {
+		for _, l := range ls {
+			fullDelta[i] += int64(sum.S[l].Count)
 		}
 	}
-	replicated := make([][]bool, n)
-	for g := range replicated {
+	for g := range delta {
 		replicated[g] = make([]bool, m)
+		delta[g] = append([]int64(nil), fullDelta...)
 	}
+	sizes := make([]int, n)
+	taken := make([]bool, m)
 
 	assign := func(g, part int) {
 		res.Groups[g] = append(res.Groups[g], part)
 		res.GroupOf[part] = g
-		delete(remaining, part)
+		taken[part] = true
 		sizes[g] += sum.R[part].Count
-		for l := 0; l < m; l++ {
-			if v := lb(l, part); v < groupLB[g][l] {
-				groupLB[g][l] = v
+		for _, l := range hits[part] {
+			if replicated[g][l] {
+				continue
 			}
-			if !replicated[g][l] && sum.S[l].Count > 0 && groupLB[g][l] <= sum.S[l].U {
-				replicated[g][l] = true
+			replicated[g][l] = true
+			c := int64(sum.S[l].Count)
+			for _, i := range hitBy[l] {
+				delta[g][i] -= c
 			}
 		}
 	}
@@ -223,12 +239,15 @@ func Greedy(pp *voronoi.Partitioner, sum *voronoi.Summary, n int, thetas []float
 	seeds := []int{first}
 	for g := 1; g < n; g++ {
 		best, bestSum := -1, math.Inf(-1)
-		for i := range remaining {
+		for i := 0; i < m; i++ {
+			if taken[i] {
+				continue
+			}
 			var s float64
 			for _, sd := range seeds {
 				s += pp.PivotDist(i, sd)
 			}
-			if s > bestSum || (s == bestSum && (best == -1 || i < best)) {
+			if s > bestSum || (s == bestSum && best == -1) {
 				best, bestSum = i, s
 			}
 		}
@@ -236,27 +255,19 @@ func Greedy(pp *voronoi.Partitioner, sum *voronoi.Summary, n int, thetas []float
 		seeds = append(seeds, best)
 	}
 
-	// Growth: smallest group first; candidate minimizing ΔRP(S, G_g).
-	for len(remaining) > 0 {
+	// Growth: smallest group first; candidate minimizing ΔRP(S, G_g),
+	// ties to the lowest partition index.
+	for left := m - n; left > 0; left-- {
 		g := 0
 		for x := 1; x < n; x++ {
 			if sizes[x] < sizes[g] {
 				g = x
 			}
 		}
-		best, bestDelta := -1, math.Inf(1)
-		for i := range remaining {
-			var delta float64
-			for l := 0; l < m; l++ {
-				if replicated[g][l] || sum.S[l].Count == 0 {
-					continue
-				}
-				if lb(l, i) <= sum.S[l].U {
-					delta += float64(sum.S[l].Count)
-				}
-			}
-			if delta < bestDelta || (delta == bestDelta && (best == -1 || i < best)) {
-				best, bestDelta = i, delta
+		best := -1
+		for i, d := range delta[g] {
+			if !taken[i] && (best == -1 || d < delta[g][best]) {
+				best = i
 			}
 		}
 		assign(g, best)

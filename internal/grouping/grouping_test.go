@@ -1,8 +1,10 @@
 package grouping
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -394,6 +396,101 @@ func TestCoverPropertyQuick(t *testing.T) {
 	}
 }
 
+// makeDifferentialFixture builds a grouping input shaped to hit Greedy's
+// edge cases: pivots on an integer lattice (duplicate pivots and tied
+// pivot distances), R drawn from the low corner and S from the high
+// corner of the space, so some partitions hold no R objects and others
+// no S objects.
+func makeDifferentialFixture(seed int64, m int) *fixture {
+	rng := rand.New(rand.NewSource(seed))
+	mk := func(n int, idBase int64, lo float64) []codec.Object {
+		out := make([]codec.Object, n)
+		for i := range out {
+			out[i] = codec.Object{ID: idBase + int64(i), Point: vector.Point{lo + rng.Float64()*60, lo + rng.Float64()*60}}
+		}
+		return out
+	}
+	rObjs := mk(4*m, 0, 0)
+	sObjs := mk(4*m, int64(4*m), 40)
+	side := int(math.Sqrt(float64(m))) + 2
+	pivots := make([]vector.Point, m)
+	for i := range pivots {
+		pivots[i] = vector.Point{float64(rng.Intn(side)) * 100 / float64(side), float64(rng.Intn(side)) * 100 / float64(side)}
+	}
+	pp := voronoi.NewPartitioner(pivots, vector.L2)
+	b := voronoi.NewSummaryBuilder(m, 3)
+	for _, objs := range []struct {
+		o   []codec.Object
+		tag codec.Source
+	}{{rObjs, codec.FromR}, {sObjs, codec.FromS}} {
+		for _, g := range pp.Partition(objs.o, objs.tag, nil) {
+			for _, o := range g {
+				b.Add(o)
+			}
+		}
+	}
+	sum := b.Finalize()
+	return &fixture{pp: pp, sum: sum, thetas: Thetas(sum, pp), rObjs: rObjs, sObjs: sObjs}
+}
+
+// TestGreedyMatchesReference: the incremental Greedy must produce exactly
+// the groups of the direct §5.2.2 transcription, over group counts from
+// one to sixteen and partition counts up to the planner's largest grid
+// point (the uniform fixture stops at 150 to bound the reference's cubic
+// run time).
+func TestGreedyMatchesReference(t *testing.T) {
+	check := func(name string, f *fixture, n int) {
+		t.Helper()
+		want, err := greedyReference(f.pp, f.sum, n, f.thetas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Greedy(f.pp, f.sum, n, f.thetas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s n=%d m=%d: Greedy groups %v, reference %v", name, n, f.pp.NumPartitions(), got.Groups, want.Groups)
+		}
+	}
+	for _, n := range []int{1, 2, 8, 16} {
+		for _, m := range []int{n, n + 1, 37, 150, 900} {
+			if m < n || (testing.Short() && m > 150) {
+				continue
+			}
+			f := makeDifferentialFixture(int64(m*31+n), m)
+			if m >= 37 {
+				requireEdgeCases(t, f)
+			}
+			check("lattice", f, n)
+			if m <= 150 {
+				check("uniform", makeFixture(t, int64(m*17+n), 6*m, m, 3, 5), n)
+			}
+		}
+	}
+}
+
+// requireEdgeCases fails unless the fixture holds a partition without R
+// objects, one without S objects, and a tied pair of pivot distances.
+func requireEdgeCases(t *testing.T, f *fixture) {
+	t.Helper()
+	var noR, noS, tie bool
+	m := f.pp.NumPartitions()
+	for i := 0; i < m; i++ {
+		noR = noR || f.sum.R[i].Count == 0
+		noS = noS || f.sum.S[i].Count == 0
+		seen := make(map[float64]bool, m)
+		for j := 0; j < m && !tie; j++ {
+			d := f.pp.PivotDist(i, j)
+			tie = seen[d]
+			seen[d] = true
+		}
+	}
+	if !noR || !noS || !tie {
+		t.Fatalf("m=%d fixture misses an edge case: empty-R %v, empty-S %v, tied distances %v", m, noR, noS, tie)
+	}
+}
+
 func BenchmarkGeometric(b *testing.B) {
 	f := makeFixture(b, 1, 5000, 100, 6, 10)
 	b.ReportAllocs()
@@ -405,13 +502,132 @@ func BenchmarkGeometric(b *testing.B) {
 	}
 }
 
+// BenchmarkGreedy runs at the partition count the planner's largest grid
+// point reaches on a 50k-object input (p ≈ 900).
 func BenchmarkGreedy(b *testing.B) {
-	f := makeFixture(b, 1, 5000, 100, 6, 10)
+	f := makeFixture(b, 1, 20000, 900, 2, 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Greedy(f.pp, f.sum, 16, f.thetas); err != nil {
+		if _, err := Greedy(f.pp, f.sum, 8, f.thetas); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// greedyReference is the direct transcription of §5.2.2 that Greedy
+// replaced: every growth step re-prices every remaining candidate against
+// every S-partition, O(m³) in the partition count. Greedy must reproduce
+// its groups exactly.
+func greedyReference(pp *voronoi.Partitioner, sum *voronoi.Summary, n int, thetas []float64) (*Result, error) {
+	if err := validate(pp, n); err != nil {
+		return nil, err
+	}
+	if len(thetas) != pp.NumPartitions() {
+		return nil, fmt.Errorf("grouping: %d thetas for %d partitions", len(thetas), pp.NumPartitions())
+	}
+	m := pp.NumPartitions()
+	res := &Result{Groups: make([][]int, n), GroupOf: make([]int, m)}
+	for i := range res.GroupOf {
+		res.GroupOf[i] = -1
+	}
+	remaining := make(map[int]bool, m)
+	for i := 0; i < m; i++ {
+		remaining[i] = true
+	}
+
+	// lb(P_l^S, P_i^R) per Corollary 2; +Inf when partition i holds no R
+	// objects (U = −Inf would otherwise poison the arithmetic).
+	lb := func(l, i int) float64 {
+		if sum.R[i].Count == 0 {
+			return math.Inf(1)
+		}
+		return voronoi.LBReplica(pp.PivotDist(i, l), sum.R[i].U, thetas[i])
+	}
+
+	// Per-group state: current LB(P_l^S, G) per S-partition l, current
+	// approximate replica count, and current object count for balancing.
+	groupLB := make([][]float64, n)
+	sizes := make([]int, n)
+	for g := range groupLB {
+		groupLB[g] = make([]float64, m)
+		for l := range groupLB[g] {
+			groupLB[g][l] = math.Inf(1)
+		}
+	}
+	replicated := make([][]bool, n)
+	for g := range replicated {
+		replicated[g] = make([]bool, m)
+	}
+
+	assign := func(g, part int) {
+		res.Groups[g] = append(res.Groups[g], part)
+		res.GroupOf[part] = g
+		delete(remaining, part)
+		sizes[g] += sum.R[part].Count
+		for l := 0; l < m; l++ {
+			if v := lb(l, part); v < groupLB[g][l] {
+				groupLB[g][l] = v
+			}
+			if !replicated[g][l] && sum.S[l].Count > 0 && groupLB[g][l] <= sum.S[l].U {
+				replicated[g][l] = true
+			}
+		}
+	}
+
+	// Seeding identical to Algorithm 4 (the paper reuses the framework).
+	first, bestSum := -1, math.Inf(-1)
+	for i := 0; i < m; i++ {
+		var s float64
+		for j := 0; j < m; j++ {
+			s += pp.PivotDist(i, j)
+		}
+		if s > bestSum {
+			first, bestSum = i, s
+		}
+	}
+	assign(0, first)
+	seeds := []int{first}
+	for g := 1; g < n; g++ {
+		best, bestSum := -1, math.Inf(-1)
+		for i := range remaining {
+			var s float64
+			for _, sd := range seeds {
+				s += pp.PivotDist(i, sd)
+			}
+			if s > bestSum || (s == bestSum && (best == -1 || i < best)) {
+				best, bestSum = i, s
+			}
+		}
+		assign(g, best)
+		seeds = append(seeds, best)
+	}
+
+	// Growth: smallest group first; candidate minimizing ΔRP(S, G_g).
+	for len(remaining) > 0 {
+		g := 0
+		for x := 1; x < n; x++ {
+			if sizes[x] < sizes[g] {
+				g = x
+			}
+		}
+		best, bestDelta := -1, math.Inf(1)
+		for i := range remaining {
+			var delta float64
+			for l := 0; l < m; l++ {
+				if replicated[g][l] || sum.S[l].Count == 0 {
+					continue
+				}
+				if lb(l, i) <= sum.S[l].U {
+					delta += float64(sum.S[l].Count)
+				}
+			}
+			if delta < bestDelta || (delta == bestDelta && (best == -1 || i < best)) {
+				best, bestDelta = i, delta
+			}
+		}
+		assign(g, best)
+	}
+	sortGroups(res)
+	return res, nil
 }

@@ -191,17 +191,30 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
+// snapshot loads every bucket count once. Observe bumps a bucket and the
+// total in two steps, so a reader that mixed the total with the buckets
+// could see them disagree; everything derived from one snapshot agrees.
+func (h *Histogram) snapshot() (counts []int64, total int64) {
+	counts = make([]int64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
+	return counts, total
+}
+
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) estimated from the
 // bucket counts: the upper bound of the bucket holding the q-th
 // observation. Returns 0 when empty. The estimate is exact when all
 // observations in the selected bucket equal its bound and otherwise
 // errs toward the bound — good enough for the /stats snapshot the
-// serve tier publishes.
+// serve tier publishes. The rank and the bucket walk come from the
+// same snapshot.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
+	counts, total := h.snapshot()
 	if total == 0 {
 		return 0
 	}
@@ -210,32 +223,30 @@ func (h *Histogram) Quantile(q float64) float64 {
 		rank = 1
 	}
 	var seen int64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			// Overflow bucket: no finite upper bound; report the
-			// largest finite bound as the floor of the estimate.
-			return h.bounds[len(h.bounds)-1]
+	for i, c := range counts {
+		seen += c
+		if seen >= rank && i < len(h.bounds) {
+			return h.bounds[i]
 		}
 	}
+	// Overflow bucket: no finite upper bound; report the largest finite
+	// bound as the floor of the estimate.
 	return h.bounds[len(h.bounds)-1]
 }
 
 // collect implements metric, emitting cumulative le buckets, _sum and
-// _count per the Prometheus histogram convention.
+// _count per the Prometheus histogram convention. _count is the bucket
+// total of the same snapshot, so it always equals the +Inf bucket.
 func (h *Histogram) collect(b *strings.Builder, name string) {
+	counts, total := h.snapshot()
 	var cum int64
 	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
+		cum += counts[i]
 		fmt.Fprintf(b, "%s_bucket{le=\"%s\"} %d\n", name, strconv.FormatFloat(bound, 'g', -1, 64), cum)
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, total)
 	fmt.Fprintf(b, "%s_sum %s\n", name, strconv.FormatFloat(h.Sum(), 'g', -1, 64))
-	fmt.Fprintf(b, "%s_count %d\n", name, h.count.Load())
+	fmt.Fprintf(b, "%s_count %d\n", name, total)
 }
 
 // Histogram returns the named histogram with the given bucket upper

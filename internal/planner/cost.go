@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"knnjoin/internal/codec"
@@ -201,6 +202,9 @@ type pivotState struct {
 	// grouping strategy of this state, the loosened-θ run by PBJ.
 	simExact []float64
 	simLoose []float64
+	// visitOrders memoizes Line 14's visit order per R-partition for
+	// both replays; nil for partitions that hold no probe.
+	visitOrders [][]int
 }
 
 // sampleK scales k to the S sampling fraction: the k-th nearest of the
@@ -297,27 +301,17 @@ func (st *pivotState) simulate(ds *DataStats, opts Options, thetaScale float64) 
 	if stride < 1 {
 		stride = 1
 	}
+	if st.visitOrders == nil {
+		st.visitOrders = st.probeVisitOrders(stride)
+	}
 	heap := nnheap.NewKHeap(st.kSample)
-	order := make([]int, st.pp.NumPartitions())
 	probes := 0
 	idx := 0
 	for pi, part := range st.rParts {
 		if len(part) == 0 {
 			continue
 		}
-		// Line 14's visit order (nearest pivot first, so θ tightens
-		// early) is a property of the partition, computed once for all
-		// its probes.
-		for j := range order {
-			order[j] = j
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ga, gb := st.pp.PivotDist(pi, order[a]), st.pp.PivotDist(pi, order[b])
-			if ga != gb {
-				return ga < gb
-			}
-			return order[a] < order[b]
-		})
+		order := st.visitOrders[pi]
 		thetaInit := st.thetas[pi] * thetaScale
 		for _, r := range part {
 			if idx%stride != 0 {
@@ -370,6 +364,49 @@ func (st *pivotState) simulate(ds *DataStats, opts Options, thetaScale float64) 
 		st.simLoose = perPart
 	}
 	return perPart
+}
+
+// probeVisitOrders computes Line 14's visit order (nearest pivot first,
+// so θ tightens early, ties to the lower index) for every R-partition
+// holding at least one of simulate's strided probes. The order is a
+// property of the partition, shared by all its probes and by both
+// replays.
+func (st *pivotState) probeVisitOrders(stride int) [][]int {
+	type visit struct {
+		dist float64
+		j    int
+	}
+	m := st.pp.NumPartitions()
+	orders := make([][]int, m)
+	row := make([]visit, m)
+	idx := 0
+	for pi, part := range st.rParts {
+		// Probes are the R-sample positions idx ≡ 0 (mod stride), counted
+		// across the non-empty partitions in order.
+		firstProbe := (idx + stride - 1) / stride * stride
+		idx += len(part)
+		if firstProbe >= idx {
+			continue
+		}
+		for j := range row {
+			row[j] = visit{st.pp.PivotDist(pi, j), j}
+		}
+		slices.SortFunc(row, func(a, b visit) int {
+			switch {
+			case a.dist < b.dist:
+				return -1
+			case a.dist > b.dist:
+				return 1
+			}
+			return a.j - b.j
+		})
+		order := make([]int, m)
+		for x, v := range row {
+			order[x] = v.j
+		}
+		orders[pi] = order
+	}
+	return orders
 }
 
 // spillBytes predicts the run-file round-trip volume: the external

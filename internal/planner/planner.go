@@ -43,7 +43,9 @@ import (
 
 // DefaultSampleSize is the per-dataset reservoir capacity used when
 // Options.SampleSize is zero: large enough that the Theorem-7 replication
-// estimate is stable, small enough that planning costs milliseconds.
+// estimate is stable. At this size planning a 50k×50k d=2 pair (24
+// candidates, pivot grid up to p=894) takes ≈0.55 s on a 2-core Xeon VM,
+// and a 2k×2k pair ≈90 ms.
 const DefaultSampleSize = 2048
 
 // DefaultMaxProbes caps how many sampled R objects the Algorithm-3

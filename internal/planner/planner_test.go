@@ -316,3 +316,23 @@ func TestMeasureErrors(t *testing.T) {
 		t.Error("K=0 accepted")
 	}
 }
+
+// BenchmarkPlans prices the full candidate grid for a uniform d=2 R×S
+// pair of 50k objects each, whose pivot grid reaches p=894: the planning
+// cost an Auto join pays before it runs.
+func BenchmarkPlans(b *testing.B) {
+	r := dataset.Uniform(50000, 2, 100, 1)
+	s := dataset.Uniform(50000, 2, 100, 2)
+	opts := Options{K: 10, Nodes: 8}
+	ds, err := Measure(r, s, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Plans(ds, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"time"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/driver"
@@ -338,17 +339,21 @@ func resolveAuto(r, s []Object, opts Options) (Options, *stats.PlanInfo, error) 
 // algorithms may return fewer when their candidate structures miss).
 // The returned Stats expose the run's cost measures. With Algorithm
 // Auto the cost-based planner picks the algorithm and knobs first, and
-// Stats.Plan records the choice with its predictions.
+// Stats.Plan records the choice with its predictions, and the planning
+// wall leads Stats.Phases as the "Planning" phase.
 func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
 	var planInfo *stats.PlanInfo
+	var planPhase []stats.Phase
 	if opts.Algorithm == Auto {
 		if opts.K <= 0 {
 			return nil, nil, fmt.Errorf("knnjoin: Options.K must be positive, got %d", opts.K)
 		}
+		start := time.Now()
 		var err error
 		if opts, planInfo, err = resolveAuto(r, s, opts); err != nil {
 			return nil, nil, err
 		}
+		planPhase = []stats.Phase{{Name: "Planning", Wall: time.Since(start)}}
 	}
 	opts, err := opts.withDefaults(len(r))
 	if err != nil {
@@ -362,10 +367,13 @@ func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
 		if err := driver.CheckDims(r, s); err != nil {
 			return nil, nil, fmt.Errorf("knnjoin: %w", err)
 		}
+		start := time.Now()
 		results, pairs := naive.BruteForce(r, s, opts.K, opts.Metric)
 		rep := &Stats{Algorithm: "bruteforce", K: opts.K, RSize: len(r), SSize: len(s),
 			Dims: r[0].Point.Dim(), Nodes: 1, Pairs: pairs, OutputPairs: countPairs(results)}
+		rep.AddPhase("Brute Force", time.Since(start))
 		rep.Plan = planInfo
+		rep.Phases = append(planPhase, rep.Phases...)
 		return results, rep, nil
 	}
 
@@ -425,6 +433,7 @@ func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
 	}
 	rep.Dims = r[0].Point.Dim()
 	rep.Plan = planInfo
+	rep.Phases = append(planPhase, rep.Phases...)
 	results, err := env.Results()
 	if err != nil {
 		return nil, nil, err

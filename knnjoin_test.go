@@ -335,6 +335,41 @@ func TestJoinStatsMeaningful(t *testing.T) {
 	}
 }
 
+// The centralized BruteForce join runs no MapReduce job, so its wall
+// must come from its own phase rather than read as zero.
+func TestBruteForceRecordsWall(t *testing.T) {
+	objs := forest(400, 3)
+	_, st, err := SelfJoin(objs, Options{K: 5, Algorithm: BruteForce})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.TotalWall(); got <= 0 {
+		t.Fatalf("bruteforce join recorded wall %v", got)
+	}
+}
+
+// An Auto join attributes the planner's wall to a leading "Planning"
+// phase; a hand-picked join plans nothing and records none.
+func TestPlanningPhaseOnlyForAuto(t *testing.T) {
+	objs := forest(1500, 4)
+	_, auto, err := SelfJoin(objs, Options{K: 5, Algorithm: Auto, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(auto.Phases) < 2 || auto.Phases[0].Name != "Planning" || auto.Phases[0].Wall <= 0 {
+		t.Fatalf("Auto join phases %+v, want a leading non-zero Planning phase", auto.Phases)
+	}
+	for _, algo := range []Algorithm{PGBJ, BruteForce} {
+		_, st, err := SelfJoin(objs, Options{K: 5, Algorithm: algo, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := st.PhaseWall("Planning"); w != 0 {
+			t.Fatalf("%v join recorded planning wall %v", algo, w)
+		}
+	}
+}
+
 // Property: PGBJ agrees with brute force on random little workloads of
 // every shape (dims, k, node counts).
 func TestJoinAgreementQuick(t *testing.T) {
